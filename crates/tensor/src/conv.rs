@@ -1,9 +1,41 @@
 //! Direct 2-D convolution, forward and backward.
 //!
-//! Inputs are NCHW; weights are `[out_ch, in_ch, kh, kw]`. Images in this
-//! codebase are small (≤ 32×32) so a cache-friendly direct convolution beats
-//! im2col on both memory and speed.
+//! Inputs are NCHW; weights are `[out_ch, in_ch, kh, kw]`. Both kernels are
+//! parallel over the batch, one worker-pool task per image, and call no
+//! dispatched SIMD kernel in their inner loops: those run over 3-element
+//! kernel rows, where a dispatched call costs more than the arithmetic.
+//!
+//! - **Forward (row-tap form).** For each output row `(oc, oy)` and input
+//!   row `(ic, ky)`, a *tap row* `s[ox] = Σ_kx x[ox·stride + kx − pad]·w[kx]`
+//!   is built over a tile of output columns and added into the output row.
+//!   The loops run over output columns with fixed-width chunks, so LLVM
+//!   vectorizes them whatever the `RFL_SIMD` setting.
+//! - **Backward (pixel form).** For each nonzero output gradient `g` and
+//!   in-bounds kernel row, `dx += g·w` and `dw += g·x` over the clipped
+//!   kernel row, in plain element loops.
+//!
+//! ## Per-output operation sequence
+//!
+//! Only independent outputs are reordered. Each output value sees one fixed
+//! sequence of f32 operations, with separate multiply and add, never fused
+//! or reassociated:
+//!
+//! - **Forward.** `y = bias`. Then, for each kernel row `(ic, ky)` in
+//!   ascending order that has an in-bounds tap, `y += s`. The tap sum `s`
+//!   starts at `+0.0` and adds `x·w` for each in-bounds `kx` in ascending
+//!   order. For kernels narrower than [`LANES`](crate::simd::LANES) this is
+//!   exactly [`crate::simd::dot_slices`] on the clipped row: both backends
+//!   reduce rows that short to the sequential fold from `+0.0`. Wider
+//!   kernels keep one `dot_slices` per output and its 8-lane reduction.
+//! - **Backward.** Each `dinput` element adds `g·w`, and each per-image
+//!   `dweight` element adds `g·x`, in ascending `(oc, oy, ox)` order over
+//!   the nonzero output gradients `g`. The per-image `dweight` partials are
+//!   then summed in image order.
+//!
+//! Results are therefore bit-identical at any thread count and on either
+//! SIMD backend.
 
+use crate::simd::LANES;
 use crate::tensor::Tensor;
 
 /// Static description of a convolution (kernel size, stride, padding).
@@ -77,45 +109,170 @@ pub fn conv2d_into(
     let x = input.data();
     let wt = weight.data();
     let b = bias.data();
-    let (s, p) = (spec.stride as isize, spec.pad as isize);
+    let cols = TapCols::new(spec, w, ow);
+    let (lo, hi) = cols.any;
 
     crate::threads::parallel_for_chunks(out.data_mut(), o * oh * ow, |img, y| {
-        for oc in 0..o {
-            let bias_v = b[oc];
+        for (y_oc, &bias_v) in y.chunks_exact_mut(oh * ow).zip(b) {
+            y_oc.fill(bias_v);
+        }
+        let ximg = &x[img * c * h * w..][..c * h * w];
+        // Rows outside `lo..hi` have no in-bounds tap and keep the bias.
+        for t0 in (lo..hi).step_by(TILE) {
+            let len = (hi - t0).min(TILE);
+            let masks = cols.masks(t0, len);
+            let mut taps = [[[0.0f32; LANES]; TILE / LANES]; LANES];
             for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = bias_v;
-                    let iy0 = oy as isize * s - p;
-                    let ix0 = ox as isize * s - p;
-                    // Clip the kernel row to the valid input columns once,
-                    // then reduce it with the canonical dot kernel.
-                    let kx_lo = (-ix0).clamp(0, kw as isize) as usize;
-                    let kx_hi = (w as isize - ix0).clamp(0, kw as isize) as usize;
-                    for ic in 0..c {
-                        let xbase = ((img * c + ic) * h) as isize;
-                        let wbase = ((oc * c + ic) * kh) as isize;
-                        for ky in 0..kh as isize {
-                            let iy = iy0 + ky;
-                            if iy < 0 || iy >= h as isize || kx_lo >= kx_hi {
-                                continue;
+                for ic in 0..c {
+                    for ky in 0..kh {
+                        let Some(iy) = cols.in_row(oy, ky, h) else {
+                            continue;
+                        };
+                        let xrow = &ximg[(ic * h + iy) * w..][..w];
+                        if kw < LANES {
+                            cols.gather(xrow, t0, len, &mut taps);
+                        }
+                        for oc in 0..o {
+                            let wrow = &wt[((oc * c + ic) * kh + ky) * kw..][..kw];
+                            let yrow = &mut y[(oc * oh + oy) * ow + t0..][..len];
+                            if kw < LANES {
+                                add_tap_rows(yrow, &taps, &masks, wrow);
+                            } else {
+                                cols.add_dots(yrow, t0, xrow, wrow);
                             }
-                            // ix0 can be negative; kx_lo ≥ −ix0 keeps the
-                            // clipped start in bounds, so add it while still
-                            // signed.
-                            let xrow = (xbase + iy) * w as isize + ix0;
-                            let x_lo = (xrow + kx_lo as isize) as usize;
-                            let wrow = ((wbase + ky) * kw as isize) as usize;
-                            acc += crate::simd::dot_slices(
-                                &x[x_lo..x_lo + (kx_hi - kx_lo)],
-                                &wt[wrow + kx_lo..wrow + kx_hi],
-                            );
                         }
                     }
-                    y[(oc * oh + oy) * ow + ox] = acc;
                 }
             }
         }
     });
+}
+
+/// Output columns per tile. Each tile keeps one gathered input row per kernel
+/// column on the stack, so the kernel stays allocation-free.
+const TILE: usize = 64;
+
+/// One tile row, in `LANES`-wide chunks.
+type TileRow<T> = [[T; LANES]; TILE / LANES];
+
+/// `y[j] += s[j]` for one tile of an output row, where the tap sum
+/// `s[j] = Σ_kx taps[kx][j]·w[kx]` starts at `+0.0` and runs over ascending
+/// `kx`. An out-of-bounds tap is masked to `+0.0` rather than skipped: `s`
+/// starts at `+0.0` and an IEEE sum is `−0.0` only when both addends are,
+/// so `s` is never `−0.0`, and adding `+0.0` to any other value (NaN and
+/// ±∞ included) returns it unchanged. Masking therefore equals skipping bit
+/// for bit, whatever the masked product was.
+#[inline]
+fn add_tap_rows(
+    y: &mut [f32],
+    taps: &[TileRow<f32>; LANES],
+    masks: &[TileRow<u32>; LANES],
+    wrow: &[f32],
+) {
+    for (chunk, yc) in y.chunks_mut(LANES).enumerate() {
+        let mut s = [0.0f32; LANES];
+        for ((tap, mask), &wv) in taps.iter().zip(masks).zip(wrow) {
+            let (tap, mask) = (&tap[chunk], &mask[chunk]);
+            for i in 0..LANES {
+                s[i] += f32::from_bits((tap[i] * wv).to_bits() & mask[i]);
+            }
+        }
+        if let Ok(yc) = <&mut [f32; LANES]>::try_from(&mut *yc) {
+            for i in 0..LANES {
+                yc[i] += s[i];
+            }
+        } else {
+            for (yv, &sv) in yc.iter_mut().zip(&s) {
+                *yv += sv;
+            }
+        }
+    }
+}
+
+/// The output columns each kernel column `kx` reaches inside an input row:
+/// `ox` is in `taps[kx]` iff `0 ≤ ox·stride + kx − pad < w`.
+struct TapCols {
+    stride: usize,
+    pad: usize,
+    kw: usize,
+    /// Columns with at least one in-bounds tap.
+    any: (usize, usize),
+    /// Per-`kx` column ranges for `kx < LANES`.
+    taps: [(usize, usize); LANES],
+}
+
+impl TapCols {
+    fn new(spec: ConvSpec, w: usize, ow: usize) -> Self {
+        let (stride, pad, kw) = (spec.stride, spec.pad, spec.kernel);
+        let mut taps = [(0, 0); LANES];
+        for (kx, t) in taps.iter_mut().enumerate().take(kw) {
+            let hi = (w + pad).saturating_sub(kx).div_ceil(stride).min(ow);
+            *t = (pad.saturating_sub(kx).div_ceil(stride).min(hi), hi);
+        }
+        // `ox` has an in-bounds tap iff `ox·stride + kw > pad` and
+        // `ox·stride < w + pad`.
+        let any_hi = (w + pad).div_ceil(stride).min(ow);
+        let any_lo = (pad + 1).saturating_sub(kw).div_ceil(stride).min(any_hi);
+        TapCols {
+            stride,
+            pad,
+            kw,
+            any: (any_lo, any_hi),
+            taps,
+        }
+    }
+
+    /// Input row `oy·stride + ky − pad` when it is inside `0..h`.
+    #[inline]
+    fn in_row(&self, oy: usize, ky: usize, h: usize) -> Option<usize> {
+        (oy * self.stride + ky)
+            .checked_sub(self.pad)
+            .filter(|&iy| iy < h)
+    }
+
+    /// `masks[kx][j]` is all ones where tap `kx` of output column `t0 + j` is
+    /// in bounds, and `0` (masking the product to `+0.0`) elsewhere,
+    /// including past `len`.
+    fn masks(&self, t0: usize, len: usize) -> [TileRow<u32>; LANES] {
+        let mut masks = [[[0; LANES]; TILE / LANES]; LANES];
+        for (mask, &(a, b)) in masks.iter_mut().zip(&self.taps).take(self.kw.min(LANES)) {
+            let (a, b) = (a.clamp(t0, t0 + len), b.clamp(t0, t0 + len));
+            mask.as_flattened_mut()[a - t0..b.max(a) - t0].fill(u32::MAX);
+        }
+        masks
+    }
+
+    /// `taps[kx][j] = xrow[(t0 + j)·stride + kx − pad]` wherever that column
+    /// is in bounds; other entries are left as they were (they are masked).
+    #[inline]
+    fn gather(&self, xrow: &[f32], t0: usize, len: usize, taps: &mut [TileRow<f32>; LANES]) {
+        for (kx, (tap, &(a, b))) in taps.iter_mut().zip(&self.taps).take(self.kw).enumerate() {
+            let (a, b) = (a.max(t0), b.min(t0 + len));
+            if a >= b {
+                continue;
+            }
+            let xs = xrow[a * self.stride + kx - self.pad..]
+                .iter()
+                .step_by(self.stride);
+            for (t, &xv) in tap.as_flattened_mut()[a - t0..b - t0].iter_mut().zip(xs) {
+                *t = xv;
+            }
+        }
+    }
+
+    /// Wide kernels (`kw ≥ LANES`): `dot_slices` reduces a clipped row of at
+    /// least `LANES` taps lane-strided, which a column-wise tap row cannot
+    /// replay, so these keep one clipped dot per output.
+    fn add_dots(&self, y: &mut [f32], t0: usize, xrow: &[f32], wrow: &[f32]) {
+        for (ox, yv) in (t0..).zip(y.iter_mut()) {
+            let ix0 = ox * self.stride;
+            let kx_lo = self.pad.saturating_sub(ix0);
+            let kx_hi = (xrow.len() + self.pad - ix0).min(self.kw);
+            let x_lo = ix0 + kx_lo - self.pad;
+            *yv +=
+                crate::simd::dot_slices(&xrow[x_lo..x_lo + (kx_hi - kx_lo)], &wrow[kx_lo..kx_hi]);
+        }
+    }
 }
 
 /// Backward convolution: given `dout = dL/dy`, produce gradients w.r.t.
@@ -168,7 +325,7 @@ pub fn conv2d_backward_into(
     let x = input.data();
     let wt = weight.data();
     let dy = dout.data();
-    let (s, p) = (spec.stride as isize, spec.pad as isize);
+    let (s, p) = (spec.stride, spec.pad);
 
     {
         let db = grads.dbias.data_mut();
@@ -190,41 +347,44 @@ pub fn conv2d_backward_into(
         dw_scratch.as_mut_slice(),
         wlen,
         |img, dx, dw| {
-            for oc in 0..o {
+            let ximg = &x[img * c * h * w..][..c * h * w];
+            let dyimg = &dy[img * o * oh * ow..][..o * oh * ow];
+            let klen = c * kh * kw;
+            for (oc, (w_oc, dw_oc)) in wt
+                .chunks_exact(klen)
+                .zip(dw.chunks_exact_mut(klen))
+                .enumerate()
+            {
                 for oy in 0..oh {
+                    // Kernel rows whose input row is in bounds.
+                    let iy0 = (oy * s) as isize - p as isize;
+                    let ky_lo = (-iy0).clamp(0, kh as isize) as usize;
+                    let ky_hi = (h as isize - iy0).clamp(0, kh as isize) as usize;
                     for ox in 0..ow {
-                        let g = dy[((img * o + oc) * oh + oy) * ow + ox];
+                        let g = dyimg[(oc * oh + oy) * ow + ox];
                         if g == 0.0 {
                             continue;
                         }
-                        let iy0 = oy as isize * s - p;
-                        let ix0 = ox as isize * s - p;
-                        // Same column clipping as the forward pass; the two
-                        // scatter/gather updates become clipped-row axpys
-                        // (element-wise, so the rewiring is bit-identical).
+                        // Same column clipping as the forward pass.
+                        let ix0 = (ox * s) as isize - p as isize;
                         let kx_lo = (-ix0).clamp(0, kw as isize) as usize;
                         let kx_hi = (w as isize - ix0).clamp(0, kw as isize) as usize;
+                        if kx_lo >= kx_hi {
+                            continue;
+                        }
+                        let len = kx_hi - kx_lo;
+                        // `x`/`dx` and `w`/`dw` share their layouts.
+                        let ix = (ix0 + kx_lo as isize) as usize;
                         for ic in 0..c {
-                            let xbase = (img * c + ic) * h;
-                            let dxbase = ic * h;
-                            let wbase = (oc * c + ic) * kh;
-                            for ky in 0..kh as isize {
-                                let iy = iy0 + ky;
-                                if iy < 0 || iy >= h as isize || kx_lo >= kx_hi {
-                                    continue;
+                            for ky in ky_lo..ky_hi {
+                                let xo = (ic * h + (iy0 + ky as isize) as usize) * w + ix;
+                                let wo = (ic * kh + ky) * kw + kx_lo;
+                                let dxs = dx[xo..xo + len].iter_mut().zip(&w_oc[wo..wo + len]);
+                                let dws = dw_oc[wo..wo + len].iter_mut().zip(&ximg[xo..xo + len]);
+                                for ((d, &wv), (dwv, &xv)) in dxs.zip(dws) {
+                                    *d += g * wv;
+                                    *dwv += g * xv;
                                 }
-                                // Add kx_lo while signed: ix0 may be negative.
-                                let xrow = ((xbase + iy as usize) * w) as isize + ix0;
-                                let dxrow = ((dxbase + iy as usize) * w) as isize + ix0;
-                                let x_lo = (xrow + kx_lo as isize) as usize;
-                                let dx_lo = (dxrow + kx_lo as isize) as usize;
-                                let len = kx_hi - kx_lo;
-                                let wrow = (wbase + ky as usize) * kw;
-                                let xr = x_lo..x_lo + len;
-                                let dxr = dx_lo..dx_lo + len;
-                                let wr = (wrow + kx_lo)..(wrow + kx_hi);
-                                crate::simd::axpy_slices(&mut dx[dxr], g, &wt[wr.clone()]);
-                                crate::simd::axpy_slices(&mut dw[wr], g, &x[xr]);
                             }
                         }
                     }

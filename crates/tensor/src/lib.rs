@@ -24,7 +24,6 @@
 mod codec;
 mod conv;
 pub mod fastmath;
-mod im2col;
 mod init;
 mod matmul;
 mod ops;
@@ -41,7 +40,6 @@ pub use codec::{
 };
 pub use conv::{conv2d, conv2d_backward, conv2d_backward_into, conv2d_into, Conv2dGrads, ConvSpec};
 pub use fastmath::{normal_fill, normal_from_units};
-pub use im2col::{conv2d_im2col, im2col, im2col_into};
 pub use init::{normal_sample, Initializer};
 pub use pool::{maxpool2d, maxpool2d_backward, maxpool2d_backward_into, maxpool2d_into, PoolSpec};
 pub use shape::Shape;

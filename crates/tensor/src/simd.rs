@@ -11,6 +11,11 @@
 //!   8-element chunks; the accumulators are then combined in the fixed tree
 //!   `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` (the order an AVX2 horizontal
 //!   add produces), and the ragged tail is folded in sequentially.
+//! - A slice shorter than [`LANES`] fills no chunk, so the lane
+//!   accumulators stay `+0.0`, their tree sums to `+0.0`, and `dot` is the
+//!   sequential fold `((+0.0 + a₀·b₀) + a₁·b₁) + …` on both paths. The
+//!   convolution kernels rely on this to replay `dot` on short kernel rows
+//!   with inline loops (and `axpy`, element-wise at every length, likewise).
 //! - Element-wise kernels (`axpy`, `scale_add`, `exp`, `tanh`, `sigmoid`,
 //!   `relu`) perform the identical scalar operation sequence per element —
 //!   separate multiply and add, **never a fused multiply-add** (FMA contracts
@@ -841,6 +846,45 @@ mod tests {
     /// The ragged lengths every kernel is checked on (0, 1, tail-only,
     /// exactly one vector, vector+tail, …).
     const LENS: &[usize] = &[0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100];
+
+    /// The short-slice invariant of the module doc, on both backends: below
+    /// `LANES`, `dot` is the sequential fold from `+0.0` and `axpy` the
+    /// per-element `y + a·x`, bit for bit, signed zeros included.
+    #[test]
+    fn short_slices_are_the_sequential_scalar_fold() {
+        for n in 0..LANES {
+            let (a, b) = vecs(n);
+            // Same magnitudes with zero operands of both signs mixed in.
+            let z: Vec<f32> = a
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| if i % 3 == 0 { [0.0, -0.0][i % 2] } else { -v })
+                .collect();
+            for (x, y) in [(&a, &b), (&z, &b), (&z, &z)] {
+                let fold = x.iter().zip(y).fold(0.0f32, |s, (&p, &q)| s + p * q);
+                let mut want = y.clone();
+                for (w, &xv) in want.iter_mut().zip(x.iter()) {
+                    *w += -0.37 * xv;
+                }
+                let check = |dot: f32, axpy: &dyn Fn(&mut [f32])| {
+                    assert_eq!(dot.to_bits(), fold.to_bits(), "dot, n={n}");
+                    let mut got = y.clone();
+                    axpy(&mut got);
+                    let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                    let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "axpy, n={n}");
+                };
+                check(scalar::dot(x, y), &|g| scalar::axpy(g, -0.37, x));
+                #[cfg(target_arch = "x86_64")]
+                if avx2_available() {
+                    // SAFETY: guarded by the runtime AVX2 check.
+                    check(unsafe { avx2::dot(x, y) }, &|g| unsafe {
+                        avx2::axpy(g, -0.37, x)
+                    });
+                }
+            }
+        }
+    }
 
     #[test]
     fn dispatched_dot_matches_scalar_bitwise() {

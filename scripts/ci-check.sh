@@ -29,6 +29,10 @@ echo "== RFL_THREADS=4 RFL_NET_THREADS=2 distributed smoke + bench_scale --quick
 RFL_THREADS=4 RFL_NET_THREADS=2 scripts/distributed-smoke.sh
 RFL_THREADS=4 RFL_NET_THREADS=2 cargo run --release -p rfl-bench --bin bench_scale -- --quick > /dev/null
 
+echo "== perfbench pin smoke (default settings, then RFL_SIMD=0)"
+scripts/perfbench-smoke.sh
+RFL_SIMD=0 scripts/perfbench-smoke.sh
+
 echo "== ext_lossy --scale quick smoke"
 cargo build --release -p rfl-bench --bin ext_lossy
 ./target/release/ext_lossy --scale quick --seeds 1 --out none > /dev/null
